@@ -1,43 +1,46 @@
 //! Cross-worker commit-flush coalescing: a shared per-log-device flush
 //! sequencer.
 //!
-//! The live runtime models one log device per box. A durable commit needs
-//! *a* device flush that starts after its log writes — not a flush of its
-//! own. [`FlushSequencer`] turns that observation into shared state:
+//! The live runtime has one log device per box — a [`FlushDevice`]: a
+//! [`SimulatedDevice`] sleep, or a real `write+fsync` pass in durable
+//! mode. A durable commit needs *a* device flush that starts after its log
+//! writes — not a flush of its own. [`FlushSequencer`] turns that
+//! observation into shared state:
 //!
 //! * A writer whose log writes are (logically) in the device buffer grabs
 //!   a **ticket** with [`enqueue`](FlushSequencer::enqueue). The ticket
 //!   names the next flush *epoch*: any device flush that starts after the
 //!   ticket was issued covers it.
 //! * Anyone needing durability calls
-//!   [`wait_durable`](FlushSequencer::wait_durable). The first waiter to
-//!   find no flush in flight becomes the **leader** for a fresh epoch: it
-//!   claims `next_epoch`, performs the device operation (a
-//!   `commit_flush_us`-class sleep in the live runtime) *outside* the
-//!   lock, then publishes `durable = epoch` and wakes every waiter. A
-//!   ticket issued before the claim is `<= epoch`, so one device flush
-//!   retires every waiter that enqueued before it started. That is the
-//!   coalescing: concurrent 2PC coordinators share one sleep instead of
-//!   paying one each, and worker group commits ride the same flush
-//!   stream without ever sleeping ([`commit_group`](FlushSequencer::commit_group)).
+//!   [`wait_durable`](FlushSequencer::wait_durable), the one wait. The
+//!   first waiter to find no flush in flight (once its `patience` has
+//!   run out — zero for an eager leader) becomes the **leader** for a
+//!   fresh epoch: it claims `next_epoch`, performs the device operation
+//!   *outside* the lock, then publishes `durable = epoch` and wakes every
+//!   waiter. A ticket issued before the claim is `<= epoch`, so one device
+//!   flush retires every waiter that enqueued before it started. That is
+//!   the coalescing: concurrent 2PC coordinators share one device
+//!   operation instead of paying one each, and worker group commits ride
+//!   the same flush stream without ever sleeping
+//!   ([`commit_group`](FlushSequencer::commit_group)).
 //! * Waiters whose ticket is already durable — or becomes durable while
 //!   they wait on another leader's flush — never touch the device at
 //!   all; they are counted in `flushes_coalesced`.
 //!
-//! Deadlock-freedom: a waiter that finds `flushing == false` always
-//! becomes the leader itself, so the only blocked state is "a leader is
-//! inside the device operation", which ends with `notify_all`. Every
-//! wake re-checks `durable >= ticket` under the lock (condvar waits are
-//! spurious-wakeup safe by construction).
+//! Deadlock-freedom: a waiter that finds `flushing == false` after its
+//! patience always becomes the leader itself, so the only unbounded
+//! blocked state is "a leader is inside the device operation", which ends
+//! with `notify_all`. Every wake re-checks `durable >= ticket` under the
+//! lock (condvar waits are spurious-wakeup safe by construction).
 //!
 //! The protocol is model-checked — including two seeded-bug twins — in
 //! `crates/common/tests/flush_model.rs`; the `check` build drives this
-//! exact code through [`wait_durable_with`](FlushSequencer::wait_durable_with)
-//! with a recording closure in place of the sleep.
+//! exact code through [`wait_durable`](FlushSequencer::wait_durable) with
+//! a device built on model atomics.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The pluggable device operation behind a flush epoch: whatever makes the
 /// log writes issued before the flush started durable. The sequencer calls
@@ -50,16 +53,15 @@ pub trait FlushDevice: Send + Sync {
 
     /// True when durability is free (flushing is a no-op): waits against
     /// this device return immediately without touching the sequencer or
-    /// its counters — the historical `Duration::ZERO` fast path.
+    /// its counters.
     fn is_free(&self) -> bool {
         false
     }
 }
 
-/// The seed behavior as a device: durability modeled as a fixed-latency
-/// sleep per device flush. A zero duration means "durability is free" —
-/// [`FlushSequencer::wait_durable_dev`] returns immediately, uncounted,
-/// exactly as [`FlushSequencer::wait_durable`] always has.
+/// Durability modeled as a fixed-latency sleep per device flush (the
+/// runtime's `commit_flush_us`). A zero duration means "durability is
+/// free": [`FlushSequencer::wait_durable`] returns immediately, uncounted.
 #[derive(Debug, Clone, Copy)]
 pub struct SimulatedDevice(pub Duration);
 
@@ -135,103 +137,28 @@ impl FlushSequencer {
         self.state.lock().unwrap().next_epoch
     }
 
-    /// Block until `ticket` is durable, performing the device operation
-    /// (a real `sleep(device)`) as flush leader if none is in flight. A
-    /// zero `device` models "durability is free" and returns immediately
-    /// without touching the counters.
-    pub fn wait_durable(&self, ticket: u64, device: Duration) {
-        self.wait_durable_dev(ticket, &SimulatedDevice(device));
-    }
-
-    /// Ticket + wait in one step: the coordinator-side "flush my commit"
-    /// call.
-    pub fn flush(&self, device: Duration) {
-        if device.is_zero() {
-            return;
-        }
-        let ticket = self.enqueue();
-        self.wait_durable_with(ticket, |_epoch| std::thread::sleep(device));
-    }
-
-    /// [`wait_durable`](Self::wait_durable) against a pluggable
-    /// [`FlushDevice`]: blocks until `ticket` is durable, leading one real
-    /// device flush if none is in flight. A free device (see
+    /// Block until `ticket` is durable; returns `true` iff this caller led
+    /// the device flush that covered it. A free device (see
     /// [`FlushDevice::is_free`]) returns immediately without touching the
-    /// counters. Returns `true` iff this caller led the device flush.
-    pub fn wait_durable_dev(&self, ticket: u64, device: &dyn FlushDevice) -> bool {
+    /// counters.
+    ///
+    /// `patience` says how long to *prefer riding* a flush someone else
+    /// performs — the durable flusher thread's windowed group commit, or a
+    /// concurrent waiter's — before leading one with no flush in flight.
+    /// Zero is the eager leader: the first waiter to find the device idle
+    /// flushes at once (the flusher thread itself, and coordinators on the
+    /// simulated device). Durable-mode 2PC coordinators pass the
+    /// group-commit window instead: an eager leader per commit would drive
+    /// the fsync rate up to the commit rate, while patient waiters fold
+    /// into the flusher's accumulation window so one fsync covers every
+    /// commit that lands inside it. Deadlock-free by construction:
+    /// patience expiring always makes this caller the leader, so no
+    /// external flush is ever *required*.
+    pub fn wait_durable(&self, ticket: u64, device: &dyn FlushDevice, patience: Duration) -> bool {
         if device.is_free() {
             return false;
         }
-        self.wait_durable_with(ticket, |epoch| device.flush(epoch))
-    }
-
-    /// The injectable-device core of [`wait_durable`](Self::wait_durable):
-    /// the model tests drive the production protocol through this with a
-    /// recording closure in place of the sleep. The closure receives the
-    /// epoch being flushed. Returns `true` iff this caller ran the device
-    /// operation itself (it led a flush).
-    pub fn wait_durable_with(&self, ticket: u64, mut device: impl FnMut(u64)) -> bool {
-        let mut s = self.state.lock().unwrap();
-        s.total += 1;
-        loop {
-            if s.durable >= ticket {
-                s.coalesced += 1;
-                return false;
-            }
-            if s.flushing {
-                // A leader is inside the device op; it will notify_all.
-                s = self.cv.wait(s).unwrap();
-                continue;
-            }
-            // Become the leader for a fresh epoch. Tickets only ever hold
-            // past values of next_epoch, so epoch >= ticket and one pass
-            // suffices.
-            let epoch = s.next_epoch;
-            s.next_epoch += 1;
-            s.flushing = true;
-            // ordering: Relaxed — advisory mirror of `flushing` for the
-            // lock-free `flush_in_progress` policy peek; readers act on a
-            // possibly-stale hint, never on the value for correctness.
-            self.busy.store(1, Ordering::Relaxed);
-            drop(s);
-            device(epoch);
-            s = self.state.lock().unwrap();
-            // ordering: Relaxed — same advisory mirror; cleared under the
-            // state lock, correctness rides on the mutex alone.
-            self.busy.store(0, Ordering::Relaxed);
-            s.flushing = false;
-            if s.durable < epoch {
-                s.durable = epoch;
-                // ordering: Relaxed — monotonic mirror of `durable` for the
-                // lock-free `durable_epoch` peek. A reader that sees a stale
-                // (lower) value merely treats a durable ticket as still
-                // pending and takes the conservative path; it can never see
-                // a value ahead of a completed device flush, because this
-                // store only happens after `device(epoch)` returned.
-                self.durable_lo.store(epoch, Ordering::Relaxed);
-            }
-            self.cv.notify_all();
-            return true;
-        }
-    }
-
-    /// Block until `ticket` is durable, *preferring to ride a device flush
-    /// someone else performs* — the dedicated flusher thread's windowed
-    /// group commit, or a concurrent waiter's — and leading one itself
-    /// only after `patience` passes with no flush in flight. Durable-mode
-    /// 2PC coordinators use this instead of
-    /// [`wait_durable_dev`](Self::wait_durable_dev): an eager leader per
-    /// commit drives the fsync rate up to the commit rate, while patient
-    /// waiters fold into the flusher's accumulation window so one fsync
-    /// covers every commit that lands inside it. Deadlock-free by
-    /// construction: patience expiring always makes this caller the
-    /// leader, so no external flush is ever *required*. Returns `true`
-    /// iff this caller led the device flush.
-    pub fn wait_covered(&self, ticket: u64, device: &dyn FlushDevice, patience: Duration) -> bool {
-        if device.is_free() {
-            return false;
-        }
-        let deadline = std::time::Instant::now() + patience;
+        let deadline = Instant::now() + patience;
         let mut s = self.state.lock().unwrap();
         s.total += 1;
         loop {
@@ -245,33 +172,41 @@ impl FlushSequencer {
                 s = self.cv.wait(s).unwrap();
                 continue;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                // Patience exhausted with no flush in flight: lead one,
-                // exactly as `wait_durable_with` would.
-                let epoch = s.next_epoch;
-                s.next_epoch += 1;
-                s.flushing = true;
-                // ordering: Relaxed — advisory mirror of `flushing`; see
-                // `wait_durable_with`.
-                self.busy.store(1, Ordering::Relaxed);
-                drop(s);
-                device.flush(epoch);
-                s = self.state.lock().unwrap();
-                // ordering: Relaxed — advisory mirror; see `wait_durable_with`.
-                self.busy.store(0, Ordering::Relaxed);
-                s.flushing = false;
-                if s.durable < epoch {
-                    s.durable = epoch;
-                    // ordering: Relaxed — monotonic mirror of `durable`;
-                    // see `wait_durable_with`.
-                    self.durable_lo.store(epoch, Ordering::Relaxed);
-                }
-                self.cv.notify_all();
-                return true;
+            let now = Instant::now();
+            if now < deadline {
+                let (guard, _) = self.cv.wait_timeout(s, deadline - now).unwrap();
+                s = guard;
+                continue;
             }
-            let (guard, _) = self.cv.wait_timeout(s, deadline - now).unwrap();
-            s = guard;
+            // Become the leader for a fresh epoch. Tickets only ever hold
+            // past values of next_epoch, so epoch >= ticket and one pass
+            // suffices.
+            let epoch = s.next_epoch;
+            s.next_epoch += 1;
+            s.flushing = true;
+            // ordering: Relaxed — advisory mirror of `flushing` for the
+            // lock-free `flush_in_progress` policy peek; readers act on a
+            // possibly-stale hint, never on the value for correctness.
+            self.busy.store(1, Ordering::Relaxed);
+            drop(s);
+            device.flush(epoch);
+            s = self.state.lock().unwrap();
+            // ordering: Relaxed — same advisory mirror; cleared under the
+            // state lock, correctness rides on the mutex alone.
+            self.busy.store(0, Ordering::Relaxed);
+            s.flushing = false;
+            if s.durable < epoch {
+                s.durable = epoch;
+                // ordering: Relaxed — monotonic mirror of `durable` for the
+                // lock-free `durable_epoch` peek. A reader that sees a stale
+                // (lower) value merely treats a durable ticket as still
+                // pending and takes the conservative path; it can never see
+                // a value ahead of a completed device flush, because this
+                // store only happens after `device.flush(epoch)` returned.
+                self.durable_lo.store(epoch, Ordering::Relaxed);
+            }
+            self.cv.notify_all();
+            return true;
         }
     }
 
@@ -305,10 +240,10 @@ impl FlushSequencer {
     /// completed: a ticket `t` is durable iff `durable_epoch() >= t`. The
     /// value may lag the truth (never lead it), so callers using it to
     /// *skip* a wait are safe and callers seeing "not yet durable" must
-    /// fall back to a real [`wait_durable_dev`](Self::wait_durable_dev).
+    /// fall back to a real [`wait_durable`](Self::wait_durable).
     pub fn durable_epoch(&self) -> u64 {
         // ordering: Relaxed — monotonic, write-once-per-epoch mirror; see
-        // the store in `wait_durable_with` for the staleness argument.
+        // the store in `wait_durable` for the staleness argument.
         self.durable_lo.load(Ordering::Relaxed)
     }
 
@@ -325,24 +260,57 @@ mod tests {
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
     use std::sync::Arc;
 
+    /// A device running `F` as its flush, for tests that inspect or
+    /// perturb the sequencer from inside the device operation.
+    struct FnDevice<F>(F);
+
+    impl<F: Fn(u64) + Send + Sync> FlushDevice for FnDevice<F> {
+        fn flush(&self, epoch: u64) {
+            (self.0)(epoch);
+        }
+    }
+
+    /// A device whose flush does nothing but complete.
+    const NOOP: FnDevice<fn(u64)> = FnDevice(|_| {});
+
     #[test]
     fn zero_duration_is_free_and_uncounted() {
+        // A zero-duration simulated device: an enqueue-then-wait "flush my
+        // commit" and a bare wait on an unissued ticket both return at
+        // once, touching neither the counters nor the in-flight flag.
         let seq = FlushSequencer::new();
-        seq.flush(Duration::ZERO);
-        seq.wait_durable(7, Duration::ZERO);
+        let zero = SimulatedDevice(Duration::ZERO);
+        let t = seq.enqueue();
+        assert!(!seq.wait_durable(t, &zero, Duration::ZERO));
+        assert!(!seq.wait_durable(7, &zero, Duration::ZERO));
         assert_eq!(seq.counters(), (0, 0));
         assert!(!seq.flush_in_progress());
+    }
+
+    /// A device that reports durability as free through the trait hook
+    /// and must never be asked to flush.
+    struct AlwaysFree;
+
+    impl FlushDevice for AlwaysFree {
+        fn flush(&self, _epoch: u64) {
+            panic!("a free device is never flushed");
+        }
+
+        fn is_free(&self) -> bool {
+            true
+        }
     }
 
     #[test]
     fn free_device_is_uncounted_like_a_zero_duration() {
         let seq = FlushSequencer::new();
-        assert!(!seq.wait_durable_dev(7, &SimulatedDevice(Duration::ZERO)));
+        assert!(!seq.wait_durable(7, &AlwaysFree, Duration::ZERO));
+        assert!(!seq.wait_durable(7, &AlwaysFree, Duration::from_secs(60)), "patience is moot");
         assert_eq!(seq.counters(), (0, 0));
+        assert!(!seq.flush_in_progress());
     }
 
-    /// A recording device: proves `wait_durable_dev` drives the exact
-    /// protocol `wait_durable_with` does (same epochs, same counters).
+    /// A recording device: the leader hands it the epoch it claimed.
     struct Recorder(StdAtomicU64);
 
     impl FlushDevice for Recorder {
@@ -356,10 +324,23 @@ mod tests {
         let seq = FlushSequencer::new();
         let dev = Recorder(StdAtomicU64::new(0));
         let t = seq.enqueue();
-        assert!(seq.wait_durable_dev(t, &dev), "sole waiter must lead");
+        assert!(seq.wait_durable(t, &dev, Duration::ZERO), "sole waiter must lead");
         assert_eq!(dev.0.load(StdOrdering::SeqCst), t, "device saw the claimed epoch");
-        assert!(!seq.wait_durable_dev(t, &dev), "durable ticket coalesces");
+        assert!(!seq.wait_durable(t, &dev, Duration::ZERO), "durable ticket coalesces");
         assert_eq!(seq.counters(), (2, 1));
+    }
+
+    #[test]
+    fn patient_waiter_leads_once_patience_expires() {
+        // Nobody else flushes: patience runs out and the waiter leads
+        // itself — no external flush is ever required.
+        let seq = FlushSequencer::new();
+        let t = seq.enqueue();
+        let patience = Duration::from_millis(5);
+        let t0 = Instant::now();
+        assert!(seq.wait_durable(t, &NOOP, patience), "expired patience must lead");
+        assert!(t0.elapsed() >= patience, "led before its patience ran out");
+        assert!(seq.durable_epoch() >= t);
     }
 
     #[test]
@@ -367,7 +348,7 @@ mod tests {
         let seq = FlushSequencer::new();
         assert_eq!(seq.durable_epoch(), 0);
         let t = seq.enqueue();
-        seq.wait_durable_with(t, |_| {});
+        seq.wait_durable(t, &NOOP, Duration::ZERO);
         assert!(seq.durable_epoch() >= t);
         let t2 = seq.enqueue();
         assert!(seq.durable_epoch() < t2, "a fresh ticket is not durable yet");
@@ -378,10 +359,11 @@ mod tests {
         let seq = FlushSequencer::new();
         let t = seq.enqueue();
         assert_eq!(t, 1);
-        let led = seq.wait_durable_with(t, |_| {});
+        let led = seq.wait_durable(t, &NOOP, Duration::ZERO);
         assert!(led, "sole waiter must lead its own flush");
         // The same ticket is now durable: a second wait coalesces.
-        assert!(!seq.wait_durable_with(t, |_| panic!("no device op needed")));
+        let unneeded = FnDevice(|_| panic!("no device op needed"));
+        assert!(!seq.wait_durable(t, &unneeded, Duration::ZERO));
         assert_eq!(seq.counters(), (2, 1));
     }
 
@@ -389,10 +371,10 @@ mod tests {
     fn tickets_issued_after_a_claim_need_a_fresh_flush() {
         let seq = FlushSequencer::new();
         let t1 = seq.enqueue();
-        assert!(seq.wait_durable_with(t1, |_| {}));
+        assert!(seq.wait_durable(t1, &NOOP, Duration::ZERO));
         let t2 = seq.enqueue();
         assert!(t2 > t1);
-        assert!(seq.wait_durable_with(t2, |_| {}), "new ticket demands a new flush");
+        assert!(seq.wait_durable(t2, &NOOP, Duration::ZERO), "new ticket demands a new flush");
     }
 
     #[test]
@@ -404,10 +386,11 @@ mod tests {
                 let (seq, ops) = (seq.clone(), device_ops.clone());
                 std::thread::spawn(move || {
                     let t = seq.enqueue();
-                    seq.wait_durable_with(t, |_| {
+                    let dev = FnDevice(|_| {
                         ops.fetch_add(1, StdOrdering::Relaxed);
                         std::thread::sleep(Duration::from_millis(2));
                     });
+                    seq.wait_durable(t, &dev, Duration::ZERO);
                 })
             })
             .collect();
@@ -429,14 +412,15 @@ mod tests {
         let s2 = seq.clone();
         let rode = std::thread::spawn(move || {
             let t = s2.enqueue();
-            let mut rode = false;
-            s2.wait_durable_with(t, |_| {
+            let rode = StdAtomicU64::new(0);
+            let dev = FnDevice(|_| {
                 // While the leader holds the device, a group close must
                 // observe the in-flight flush and coalesce.
-                rode = s2.commit_group();
+                rode.store(u64::from(s2.commit_group()), StdOrdering::Relaxed);
                 assert!(s2.flush_in_progress());
             });
-            rode
+            s2.wait_durable(t, &dev, Duration::ZERO);
+            rode.load(StdOrdering::Relaxed) == 1
         })
         .join()
         .unwrap();

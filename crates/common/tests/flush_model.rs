@@ -12,10 +12,13 @@
 //!   (stranded waiter, caught as a deadlock).
 //! * **The real `common::flush`** (under `--features check`): the facade
 //!   resolves to `checkers::sync`, so the models drive the production
-//!   `FlushSequencer` itself through `wait_durable_with`, with a
-//!   recording closure in place of the sleep — no lost flush, no
-//!   overlapping (double) device operations, and group closes coalescing
-//!   only with genuinely in-flight flushes.
+//!   `FlushSequencer` itself through its one wait, `wait_durable`, with a
+//!   `FlushDevice` built on model atomics in place of the sleep or fsync
+//!   — no lost flush, no overlapping (double) device operations, and
+//!   group closes coalescing only with genuinely in-flight flushes. The
+//!   waits run with zero patience: the leader path every caller shares
+//!   (eager or patient) is the one explored, and a nonzero patience only
+//!   adds timed waits that end in that same path.
 //!
 //! Properties checked:
 //! * **No lost flush** — a waiter returns only after a device operation
@@ -78,7 +81,7 @@ impl SeqModel {
         self.m.lock().unwrap().next_epoch
     }
 
-    /// `FlushSequencer::wait_durable_with`. `publish_early = true` seeds
+    /// `FlushSequencer::wait_durable`. `publish_early = true` seeds
     /// the lost-flush bug (durability claimed before the device write
     /// lands); `notify = false` seeds the stranded-waiter bug.
     fn wait(&self, ticket: u64, publish_early: bool, notify: bool) {
@@ -178,27 +181,43 @@ mod real_seq {
     use checkers::explore;
     use checkers::sync::atomic::{AtomicU64, Ordering};
     use checkers::sync::Arc;
-    use common::flush::FlushSequencer;
+    use common::flush::{FlushDevice, FlushSequencer};
+    use std::time::Duration;
+
+    /// The device as model atomics, as in `SeqModel`: `written` is the
+    /// highest epoch that reached stable storage, `inside` counts threads
+    /// in the device operation (must never exceed 1).
+    struct ModelDevice {
+        written: AtomicU64,
+        inside: AtomicU64,
+    }
+
+    impl FlushDevice for ModelDevice {
+        fn flush(&self, epoch: u64) {
+            let was = self.inside.fetch_add(1, Ordering::AcqRel);
+            assert_eq!(was, 0, "double flush: overlapping device ops");
+            self.written.store(epoch, Ordering::Relaxed);
+            self.inside.store(0, Ordering::Release);
+        }
+    }
+
+    fn model_device() -> Arc<ModelDevice> {
+        Arc::new(ModelDevice { written: AtomicU64::new(0), inside: AtomicU64::new(0) })
+    }
 
     #[test]
     fn real_sequencer_never_loses_or_doubles_a_flush() {
         let r = explore(opts(), |model| {
             let seq = Arc::new(FlushSequencer::new());
-            let device = Arc::new(AtomicU64::new(0));
-            let in_device = Arc::new(AtomicU64::new(0));
+            let dev = model_device();
             for _ in 0..2 {
-                let (s, d, g) = (seq.clone(), device.clone(), in_device.clone());
+                let (s, d) = (seq.clone(), dev.clone());
                 model.thread(move || {
                     let ticket = s.enqueue();
-                    s.wait_durable_with(ticket, |epoch| {
-                        let was = g.fetch_add(1, Ordering::AcqRel);
-                        assert_eq!(was, 0, "double flush: overlapping device ops");
-                        d.store(epoch, Ordering::Relaxed);
-                        g.store(0, Ordering::Release);
-                    });
+                    s.wait_durable(ticket, &*d, Duration::ZERO);
                     // No lost flush, and (watermark) FIFO ack order.
-                    let dev = d.load(Ordering::Relaxed);
-                    assert!(dev >= ticket, "lost flush: device {dev} < ticket {ticket}");
+                    let written = d.written.load(Ordering::Relaxed);
+                    assert!(written >= ticket, "lost flush: device {written} < ticket {ticket}");
                 });
             }
         });
@@ -209,10 +228,11 @@ mod real_seq {
     fn real_group_close_coalesces_only_with_an_inflight_flush() {
         let r = explore(opts(), |model| {
             let seq = Arc::new(FlushSequencer::new());
+            let dev = model_device();
             let s1 = seq.clone();
             model.thread(move || {
                 let ticket = s1.enqueue();
-                let led = s1.wait_durable_with(ticket, |_epoch| {});
+                let led = s1.wait_durable(ticket, &*dev, Duration::ZERO);
                 assert!(led, "sole durability waiter must lead its flush");
             });
             let s2 = seq.clone();

@@ -23,25 +23,25 @@
 //!
 //! * **Workers** (one per partition) own their shard outright — no locks
 //!   guard row access, ever. Fast-path requests arrive on *per-client SPSC
-//!   ring lanes* ([`common::ring`]) — each [`Client`] registers a
-//!   dedicated bounded lock-free lane with each worker it talks to, so
-//!   the hot path crosses no shared mutex and no MPSC channel; rare
-//!   control traffic (lane registration, reservations, 2PC outcomes,
-//!   shutdown) rides a plain shared channel, and a [`common::ring::
-//!   Doorbell`] wakes a worker that parked with everything empty. A
-//!   worker collects work *in runs*: it drains the control channel, then
-//!   sweeps its lanes fairly (round-robin, one message per lane per pass)
-//!   until a pass comes up empty. The swept single-partition transactions
-//!   execute as one group — their durable effects share a single commit
-//!   flush and their acknowledgements go out together in completion order
-//!   (group commit + group ack) — and the flush window itself is
-//!   *adaptive*: sized by the backlog the lanes show when the group
-//!   closes, from zero (nobody waiting — flush immediately) up to the
+//!   ring lanes* ([`common::ring`]) — each [`Client`] registers a dedicated
+//!   bounded lock-free lane with each worker it talks to, so the hot path
+//!   crosses no shared mutex and no MPSC channel; rare control traffic
+//!   (lane registration, speculation-window outcomes, snapshot fences,
+//!   shutdown) rides a plain shared channel, and a
+//!   [`common::ring::Doorbell`] wakes a worker that parked with everything
+//!   empty. A worker collects work *in runs*: it drains the control
+//!   channel, then sweeps its lanes fairly (round-robin, one message per
+//!   lane per pass) until a pass comes up empty. The swept single-partition
+//!   transactions execute as one group — their durable effects share a
+//!   single commit flush and their acknowledgements go out together in
+//!   completion order (group commit + group ack) — and the flush window
+//!   itself is *adaptive*: sized by the backlog the lanes show when the
+//!   group closes, from zero (nobody waiting — flush immediately) up to the
 //!   `commit_flush_us` cap (deep backlog — widen the window so the next
-//!   group coalesces more). A reservation from a distributed transaction
-//!   is admitted after the current group (everything swept before it is
-//!   flushed and acknowledged first; per-client FIFO order is the lane
-//!   itself).
+//!   group coalesces more). A distributed transaction's first fragment
+//!   command is admitted after the current group (everything swept before
+//!   it is flushed and acknowledged first; per-client FIFO order is the
+//!   lane itself).
 //! * **Clients** (the paper's §6.4 load generators, or any embedding
 //!   application thread) plan each request via the shared advisor, then
 //!   either hand the whole transaction to its base partition's worker, or
@@ -167,10 +167,10 @@ use crate::metrics::RunMetrics;
 use crate::procedure::{ProcedureRegistry, Step};
 use crate::profiler::{Bucket, CoordSub};
 use crate::sim::RequestGenerator;
-use common::flush::FlushSequencer;
+use common::flush::{FlushDevice, FlushSequencer, SimulatedDevice};
 use common::ring::{self, Doorbell, PushError};
 use common::sync::atomic::{AtomicU64, Ordering};
-use common::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
+use common::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use common::sync::{Arc, Condvar, Mutex, PoisonError};
 use common::{
     derive_seed, seeded_rng, Error, FxHashMap, PartitionId, PartitionSet, ProcId, QueryId, Result,
@@ -191,9 +191,9 @@ use crate::metrics::MaintenanceReport;
 /// ([`CtrlMsg::SpecFinish`]), whose sender rings the doorbell, so the
 /// worker parks like any idle worker; this timeout only bounds how long a
 /// window can dangle if its coordinator died without sending an outcome
-/// (detected as a disconnect of the reservation channel). Rare by
-/// construction, so it can be long — a speculating worker costs ~40
-/// wake-ups per second, which matters on single-core hosts.
+/// (detected as its fragment lane closing). Rare by construction, so it
+/// can be long — a speculating worker costs ~40 wake-ups per second,
+/// which matters on single-core hosts.
 const SPEC_WATCHDOG: Duration = Duration::from_millis(25);
 
 /// Watchdog interval of a client parked on its reply slot. A reply
@@ -208,7 +208,7 @@ const REPLY_WATCHDOG: Duration = Duration::from_millis(25);
 const LANE_CAPACITY: usize = 8;
 
 /// Backlog depth at which the adaptive group-commit window reaches the
-/// full `commit_flush_us` cap (see [`adaptive_flush`]).
+/// full `commit_flush_us` cap (see [`adaptive_window`]).
 const FLUSH_KNEE: usize = 8;
 
 /// Bounded yield-spin a client performs on its reply slot before falling
@@ -417,15 +417,9 @@ impl Drop for LockGuard<'_> {
 
 /// A fragment command sent to a reserved worker.
 enum FragCmd {
-    /// Execute this partition's slice of one query invocation. Legacy:
-    /// production coordinators ship [`FragCmd::ExecBatch`]; workers keep
-    /// serving `Exec` for hand-driven protocol tests (hence the allow —
-    /// only `cfg(test)` code constructs it).
-    #[allow(dead_code)]
-    Exec { proc: ProcId, query: QueryId, params: Vec<Value> },
     /// Every fragment this partition owes for one query batch, shipped as
     /// a single message (one lane push, one modeled network hop, one
-    /// reply) instead of one `Exec` round trip per query. Items execute
+    /// reply) instead of one round trip per query. Items execute
     /// in batch order; the participant stops at its own first constraint
     /// violation — the coordinator re-derives the batch-global abort
     /// point from the merged per-item outcomes ([`FragReply::Batch`]),
@@ -463,18 +457,12 @@ enum FragCmd {
 
 /// A reserved worker's answer to a fragment command.
 enum FragReply {
-    /// One [`FragCmd::Exec`]'s rows (legacy path; read by test drivers).
-    #[allow(dead_code)]
-    Rows(Vec<Row>),
     /// Per-item outcomes of an [`FragCmd::ExecBatch`], in item order. A
     /// participant that hit a constraint stops there, so the vector may be
     /// shorter than the batch it answers; the coordinator only ever reads
     /// items up to the batch-global abort point, which is covered on every
     /// target (see `run_distributed`).
     Batch(Vec<BatchItem>),
-    /// One [`FragCmd::Exec`]'s constraint violation (legacy path).
-    #[allow(dead_code)]
-    Constraint(String),
     Finished,
     Fatal(Error),
 }
@@ -486,24 +474,13 @@ enum BatchItem {
     Constraint(String),
 }
 
-/// Reservation of one worker by a distributed transaction's coordinator —
-/// the *legacy* per-transaction channel pair, kept alongside the reusable
-/// fragment lanes ([`FragConn`]) for hand-driven protocol tests and
-/// embedders predating lanes. Production coordination registers one
-/// [`CtrlMsg::FragLane`] per (client, worker) pair instead and reuses it
-/// for every distributed transaction after: the partition lock *is* the
-/// reservation, so the lock holder's first lane push opens service.
-struct Reserve {
-    frags: Receiver<FragCmd>,
-    results: Sender<FragReply>,
-}
-
 /// One client's distributed-path connection at the worker: a reusable
 /// bounded SPSC fragment lane plus the client's reusable fragment reply
 /// slot — registered once per (client, worker) pair over the control
 /// channel (mirroring the fast path's `CtrlMsg::Lane`) and reused by every
-/// distributed transaction after, replacing two fresh channel allocations
-/// per participant per transaction.
+/// distributed transaction after. The partition lock *is* the
+/// reservation: the lock holder's first lane push opens service, so no
+/// per-transaction channel or reservation round trip exists.
 struct FragConn {
     frags: ring::Consumer<FragCmd>,
     replies: Arc<ReplySlot<FragReply>>,
@@ -578,14 +555,10 @@ enum CtrlMsg<S> {
     /// commands arrive on the lane afterwards — only the partition-lock
     /// holder pushes, so the lock itself serializes transactions on it.
     FragLane(FragConn),
-    /// Legacy per-transaction reservation (see [`Reserve`]); constructed
-    /// by hand-driven protocol tests only, still served by every worker.
-    #[allow(dead_code)]
-    Reserve(Reserve),
     /// 2PC outcome for the speculation window this worker has open — sent
-    /// on the control channel (not the reservation channel) so a
-    /// speculating worker parks on its doorbell instead of polling two
-    /// receivers.
+    /// on the control channel (not the fragment lane, which may already
+    /// carry the coordinator's next transaction) so a speculating worker
+    /// parks on its doorbell like an idle one.
     SpecFinish {
         commit: bool,
     },
@@ -764,9 +737,13 @@ struct Shared<A: LiveAdvisor> {
     /// worker group commits and coordinator 2PC durability waits all go
     /// through it, so concurrent flush demands — from *different* workers
     /// and coordinators — coalesce into one device operation (epoch-
-    /// ticketed; see [`common::flush`]). A no-op when `commit_flush` is
-    /// zero.
+    /// ticketed; see [`common::flush`]). A no-op when `device` is free.
     seq: FlushSequencer,
+    /// The log device behind `seq`, picked once at start: the real
+    /// command-log `write+fsync` ([`wal::FileDevice`]) in durable mode,
+    /// else the modeled `commit_flush` sleep ([`SimulatedDevice`], free
+    /// when zero).
+    device: Arc<dyn FlushDevice>,
     /// Run-wide counters: [`Client::call`] folds each transaction's
     /// tallies in here *once, at the end of the call* — per-call scratch
     /// lives in cheap locals on the client, so the fast path touches this
@@ -849,7 +826,6 @@ enum FlushJob<S> {
 /// streams coalesce into the same device operations.
 fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJob<A::Session>>) {
     let durable = env.durable.as_ref().expect("flusher thread requires durability state");
-    let device = FileDevice(Arc::clone(&durable.logs));
     let mut last_flush: Option<Instant> = None;
     while let Ok(job) = rx.recv() {
         let FlushJob::Group { mut ticket, mut acks } = job else { return };
@@ -883,7 +859,7 @@ fn flusher_loop<A: LiveAdvisor>(env: &Shared<A>, rx: &Receiver<FlushJob<A::Sessi
             }
         }
         last_flush = Some(Instant::now());
-        env.seq.wait_durable_dev(ticket, &device);
+        env.seq.wait_durable(ticket, &*env.device, Duration::ZERO);
         release_acks(&mut acks);
         if stop {
             return;
@@ -901,18 +877,17 @@ fn flush(d: Duration) {
 /// (group commit: one flush covers every write in the group).
 type DeferredAck<S> = (Arc<SingleSlot<S>>, SingleReply<S>);
 
-/// Drains the control channel: registers new lanes, parks reservations,
-/// records shutdown. With `window_finish` set (a speculation window is
-/// open) the first 2PC outcome is stored there and the drain stops — the
-/// outcome ends the window, and everything behind it stays queued for
-/// after; without it a stray outcome (its window already resolved via the
-/// disconnect watchdog) is dropped. Never blocks: the doorbell is the
+/// Drains the control channel: registers new lanes, parks snapshot
+/// requests, records shutdown. With `window_finish` set (a speculation
+/// window is open) the first 2PC outcome is stored there and the drain
+/// stops — the outcome ends the window, and everything behind it stays
+/// queued for after; without it a stray outcome (its window already
+/// resolved via the closed-lane watchdog) is dropped. Never blocks: the doorbell is the
 /// only park/wake mechanism, and every control sender rings it.
 fn gather_ctrl<S>(
     ctrl: &Receiver<CtrlMsg<S>>,
     lanes: &mut Vec<ring::Consumer<SingleMsg<S>>>,
     frag_lanes: &mut Vec<FragConn>,
-    resv: &mut VecDeque<Reserve>,
     snaps: &mut Vec<(u64, Sender<()>)>,
     shutdown: &mut bool,
     mut window_finish: Option<&mut Option<bool>>,
@@ -921,7 +896,6 @@ fn gather_ctrl<S>(
         match m {
             CtrlMsg::Lane(l) => lanes.push(l),
             CtrlMsg::FragLane(c) => frag_lanes.push(c),
-            CtrlMsg::Reserve(r) => resv.push_back(r),
             CtrlMsg::Snapshot { gen, done } => snaps.push((gen, done)),
             CtrlMsg::SpecFinish { commit } => {
                 if let Some(slot) = window_finish.as_deref_mut() {
@@ -1051,7 +1025,7 @@ fn release_group<A: LiveAdvisor>(
         // Flusher already stopped (teardown race): flush synchronously
         // and release here — held acks must never be dropped.
         let FlushJob::Group { ticket, mut acks } = err.0 else { return Some(ticket) };
-        env.seq.wait_durable_dev(ticket, &FileDevice(Arc::clone(&d.logs)));
+        env.seq.wait_durable(ticket, &*env.device, Duration::ZERO);
         release_acks(&mut acks);
     }
     Some(ticket)
@@ -1108,18 +1082,18 @@ fn snapshot_cluster<A: LiveAdvisor>(env: &Shared<A>) -> Option<u64> {
 /// the adaptive coalescing deadline ([`adaptive_window`]): the window
 /// elapses under useful work, so coalescing costs the backlog nothing.
 /// The moment the backlog empties (or the deadline passes, or a
-/// reservation / shutdown closes the group) the flush covers the whole
-/// group and the held acks go out in completion order (group ack). A
-/// reservation from a distributed transaction is admitted only after the
-/// open group is flushed and acknowledged, so the distributed transaction
-/// observes exactly the state a one-message-at-a-time loop would have
-/// produced.
+/// distributed transaction / shutdown closes the group) the flush covers
+/// the whole group and the held acks go out in completion order (group
+/// ack). A distributed transaction's fragment lane is served only after
+/// the open group is flushed and acknowledged, so the distributed
+/// transaction observes exactly the state a one-message-at-a-time loop
+/// would have produced.
 ///
-/// Reservations that arrive during a speculation window stay parked in
-/// `resv` and are admitted once the window resolves (they may open
-/// windows of their own). At shutdown, calls still buffered in the lanes
-/// are failed cleanly ([`fail_lanes`]) rather than executed — a client
-/// racing shutdown gets an error, never silence.
+/// Fragment lanes that fill during a speculation window wait until the
+/// window resolves (they may open windows of their own). At shutdown,
+/// calls still buffered in the lanes are failed cleanly ([`fail_lanes`])
+/// rather than executed — a client racing shutdown gets an error, never
+/// silence.
 fn worker_loop<A: LiveAdvisor>(
     mut shard: Shard,
     ctrl: &Receiver<CtrlMsg<A::Session>>,
@@ -1129,7 +1103,6 @@ fn worker_loop<A: LiveAdvisor>(
     let bell = &env.workers[me].bell;
     let mut lanes: Vec<ring::Consumer<SingleMsg<A::Session>>> = Vec::new();
     let mut frag_lanes: Vec<FragConn> = Vec::new();
-    let mut resv: VecDeque<Reserve> = VecDeque::new();
     let mut run: Vec<SingleMsg<A::Session>> = Vec::new();
     // Held acknowledgements of the open commit group, plus when its
     // oldest unflushed commit completed (the coalescing deadline's
@@ -1160,38 +1133,18 @@ fn worker_loop<A: LiveAdvisor>(
                 .expect("write snapshot");
             let _ = done.send(());
         }
-        if let Some(r) = resv.pop_front() {
-            // The reservation closes the open group: flush and ack before
-            // the distributed transaction reads anything.
-            if let Some(t) = close_group(env, &mut pending, last_ticket) {
-                last_ticket = t;
-            }
-            if let Some(spec) = serve_reservation(&mut shard, env, FragSource::Legacy(r)) {
-                shutdown = speculate(
-                    &mut shard,
-                    env,
-                    ctrl,
-                    bell,
-                    &mut lanes,
-                    &mut frag_lanes,
-                    &mut resv,
-                    &mut snaps,
-                    &mut last_ticket,
-                    spec,
-                );
-            }
-            continue;
-        }
         // A non-empty fragment lane is a reservation: its client holds
         // this partition's lock and pushed the transaction's first
         // command. At most one lane holds a live transaction (the lock is
         // exclusive); a closed lane's leftovers come from a coordinator
-        // that died mid-transaction and are rolled back inside serve.
+        // that died mid-transaction and are rolled back inside serve. The
+        // reservation closes the open group: flush and ack before the
+        // distributed transaction reads anything.
         if let Some(i) = frag_lanes.iter().position(|c| !c.frags.is_empty()) {
             if let Some(t) = close_group(env, &mut pending, last_ticket) {
                 last_ticket = t;
             }
-            let src = FragSource::Lane { conns: &mut frag_lanes, i, bell };
+            let src = FragSource { conns: &mut frag_lanes, i, bell };
             if let Some(spec) = serve_reservation(&mut shard, env, src) {
                 shutdown = speculate(
                     &mut shard,
@@ -1200,7 +1153,6 @@ fn worker_loop<A: LiveAdvisor>(
                     bell,
                     &mut lanes,
                     &mut frag_lanes,
-                    &mut resv,
                     &mut snaps,
                     &mut last_ticket,
                     spec,
@@ -1209,12 +1161,12 @@ fn worker_loop<A: LiveAdvisor>(
             continue;
         }
         frag_lanes.retain(|c| !c.frags.is_closed());
-        gather_ctrl(ctrl, &mut lanes, &mut frag_lanes, &mut resv, &mut snaps, &mut shutdown, None);
+        gather_ctrl(ctrl, &mut lanes, &mut frag_lanes, &mut snaps, &mut shutdown, None);
         sweep_lanes(&mut lanes, &mut run);
         if shutdown {
             break;
         }
-        if run.is_empty() && resv.is_empty() && !has_frags(&frag_lanes) && snaps.is_empty() {
+        if run.is_empty() && !has_frags(&frag_lanes) && snaps.is_empty() {
             // No work means no backlog: close the group (normally already
             // closed by the post-run check below — this is the backstop
             // for a group left open by a race with an emptying lane).
@@ -1229,22 +1181,9 @@ fn worker_loop<A: LiveAdvisor>(
             let mut found = false;
             for _ in 0..IDLE_SPIN {
                 std::thread::yield_now();
-                gather_ctrl(
-                    ctrl,
-                    &mut lanes,
-                    &mut frag_lanes,
-                    &mut resv,
-                    &mut snaps,
-                    &mut shutdown,
-                    None,
-                );
+                gather_ctrl(ctrl, &mut lanes, &mut frag_lanes, &mut snaps, &mut shutdown, None);
                 sweep_lanes(&mut lanes, &mut run);
-                if !run.is_empty()
-                    || !resv.is_empty()
-                    || has_frags(&frag_lanes)
-                    || !snaps.is_empty()
-                    || shutdown
-                {
+                if !run.is_empty() || has_frags(&frag_lanes) || !snaps.is_empty() || shutdown {
                     found = true;
                     break;
                 }
@@ -1256,22 +1195,9 @@ fn worker_loop<A: LiveAdvisor>(
             // second look — a ring that landed before the parked bit went
             // up is only visible here — and only then sleep.
             let token = bell.prepare_park();
-            gather_ctrl(
-                ctrl,
-                &mut lanes,
-                &mut frag_lanes,
-                &mut resv,
-                &mut snaps,
-                &mut shutdown,
-                None,
-            );
+            gather_ctrl(ctrl, &mut lanes, &mut frag_lanes, &mut snaps, &mut shutdown, None);
             sweep_lanes(&mut lanes, &mut run);
-            if run.is_empty()
-                && resv.is_empty()
-                && !has_frags(&frag_lanes)
-                && snaps.is_empty()
-                && !shutdown
-            {
+            if run.is_empty() && !has_frags(&frag_lanes) && snaps.is_empty() && !shutdown {
                 bell.park(token);
             } else {
                 bell.cancel_park();
@@ -1637,89 +1563,62 @@ fn run_single<A: LiveAdvisor>(
 }
 
 /// Where a reservation's fragment commands come from and where its
-/// replies go: the client's registered fragment lane (production — the
-/// partition lock *is* the reservation, so the lock holder's first push
-/// opens service), or the legacy per-transaction channel pair
-/// ([`CtrlMsg::Reserve`] — hand-driven protocol tests and embedders
-/// predating lanes).
-enum FragSource<'a> {
-    Lane { conns: &'a mut Vec<FragConn>, i: usize, bell: &'a Doorbell },
-    Legacy(Reserve),
+/// replies go: the client's registered fragment lane — the partition lock
+/// *is* the reservation, so the lock holder's first push opens service.
+struct FragSource<'a> {
+    conns: &'a mut Vec<FragConn>,
+    /// Index of the serving lane in `conns`; a speculation window keeps it
+    /// (stable — lanes are only retired between transactions, never while
+    /// a window is open).
+    i: usize,
+    bell: &'a Doorbell,
 }
 
 impl FragSource<'_> {
     /// Blocks for the next fragment command; `None` when the coordinator
-    /// is gone (producer dropped / channel disconnected). Lane waits park
-    /// on the worker's own doorbell — the coordinator rings it after every
-    /// push; stray rings from other clients just cost a re-check.
+    /// is gone (producer dropped). Waits park on the worker's own
+    /// doorbell — the coordinator rings it after every push; stray rings
+    /// from other clients just cost a re-check.
     fn recv(&mut self) -> Option<FragCmd> {
-        match self {
-            FragSource::Legacy(r) => r.frags.recv().ok(),
-            FragSource::Lane { conns, i, bell } => {
-                let lane = &mut conns[*i].frags;
-                loop {
-                    if let Some(cmd) = lane.pop() {
-                        return Some(cmd);
-                    }
-                    if lane.is_closed() {
-                        return None;
-                    }
-                    // Doorbell protocol: announce intent, MANDATORY second
-                    // look (a push-and-ring that landed before the parked
-                    // bit went up is only visible here), then sleep.
-                    let token = bell.prepare_park();
-                    if lane.is_empty() && !lane.is_closed() {
-                        bell.park(token);
-                    } else {
-                        bell.cancel_park();
-                    }
-                }
+        let lane = &mut self.conns[self.i].frags;
+        loop {
+            if let Some(cmd) = lane.pop() {
+                return Some(cmd);
+            }
+            if lane.is_closed() {
+                return None;
+            }
+            // Doorbell protocol: announce intent, MANDATORY second look (a
+            // push-and-ring that landed before the parked bit went up is
+            // only visible here), then sleep.
+            let token = self.bell.prepare_park();
+            if lane.is_empty() && !lane.is_closed() {
+                self.bell.park(token);
+            } else {
+                self.bell.cancel_park();
             }
         }
     }
 
     /// Delivers a reply to the coordinator; false if it is gone.
     fn send(&mut self, reply: FragReply) -> bool {
-        match self {
-            FragSource::Legacy(r) => r.results.send(reply).is_ok(),
-            FragSource::Lane { conns, i, .. } => {
-                let conn = &conns[*i];
-                // A closed lane's coordinator died: nobody will ever take
-                // this reply, so leave the slot reusable-empty instead.
-                if conn.frags.is_closed() {
-                    return false;
-                }
-                conn.replies.put(reply);
-                true
-            }
+        let conn = &self.conns[self.i];
+        // A closed lane's coordinator died: nobody will ever take this
+        // reply, so leave the slot reusable-empty instead.
+        if conn.frags.is_closed() {
+            return false;
         }
+        conn.replies.put(reply);
+        true
     }
-
-    /// Consumes the source into the channel handle a speculation window
-    /// keeps (a lane itself stays registered at the worker).
-    fn into_spec_channel(self) -> SpecChannel {
-        match self {
-            FragSource::Legacy(r) => SpecChannel::Legacy { frags: r.frags, results: r.results },
-            FragSource::Lane { i, .. } => SpecChannel::Lane(i),
-        }
-    }
-}
-
-/// The channel a speculation window keeps toward its coordinator: the
-/// index of the client's fragment lane in the worker's `frag_lanes`
-/// (stable — lanes are only retired between transactions, never while a
-/// window is open), or the legacy per-transaction endpoints moved out of
-/// the reservation.
-enum SpecChannel {
-    Lane(usize),
-    Legacy { frags: Receiver<FragCmd>, results: Sender<FragReply> },
 }
 
 /// A speculation window opened by an early-prepared distributed
-/// transaction: its coordinator channel plus the shard's undo stack and
-/// the conflict mask.
+/// transaction: its coordinator's fragment lane plus the shard's undo
+/// stack and the conflict mask.
 struct SpecSession {
-    chan: SpecChannel,
+    /// Index of the coordinator's lane in the worker's `frag_lanes`.
+    lane: usize,
     stack: SpeculationStack,
     /// [`crate::sim::table_bit`] mask of tables written inside the window
     /// so far: the early-prepared fragment's writes plus every deferred
@@ -1758,25 +1657,6 @@ fn serve_reservation<A: LiveAdvisor>(
                 }
                 dist_id = Some(txn_id);
             }
-            Some(FragCmd::Exec { proc, query, params }) => {
-                flush(env.msg_delay);
-                let def = env.catalog.proc(proc).query(query);
-                let reply = match execute_fragment(shard, def, &params, &mut undo) {
-                    Ok(rows) => {
-                        if def.is_write() {
-                            wrote_tables |= crate::sim::table_bit(def.table);
-                        }
-                        FragReply::Rows(rows)
-                    }
-                    Err(Error::Constraint(msg)) => FragReply::Constraint(msg),
-                    Err(e) => FragReply::Fatal(e),
-                };
-                if !src.send(reply) {
-                    // Coordinator vanished: restore the shard and move on.
-                    let _ = shard.rollback(&mut undo);
-                    return None;
-                }
-            }
             Some(FragCmd::ExecBatch { proc, queries }) => {
                 // One modeled network hop covers the whole sub-batch —
                 // exactly the per-query message cost batching removes.
@@ -1811,6 +1691,7 @@ fn serve_reservation<A: LiveAdvisor>(
                     None => FragReply::Batch(items),
                 };
                 if !src.send(reply) {
+                    // Coordinator vanished: restore the shard and move on.
                     let _ = shard.rollback(&mut undo);
                     return None;
                 }
@@ -1834,7 +1715,7 @@ fn serve_reservation<A: LiveAdvisor>(
                 // whole fast path behind every distributed writer.
                 let stack = SpeculationStack::new(undo);
                 return Some(SpecSession {
-                    chan: src.into_spec_channel(),
+                    lane: src.i,
                     stack,
                     written_tables: wrote_tables,
                     dist_id,
@@ -1875,7 +1756,7 @@ fn serve_reservation<A: LiveAdvisor>(
 
 /// Runs the worker through one speculation window: swept single-partition
 /// transactions execute speculatively (deferred acknowledgement, undo
-/// force-enabled) and new reservations are parked in `resv` until the
+/// force-enabled) and other fragment lanes wait unserved until the
 /// early-prepared transaction's 2PC outcome arrives. Work is collected in
 /// runs exactly like [`worker_loop`] — control channel first, then a fair
 /// lane sweep — and one adaptive group flush covers a run's speculative
@@ -1894,7 +1775,6 @@ fn speculate<A: LiveAdvisor>(
     bell: &Doorbell,
     lanes: &mut Vec<ring::Consumer<SingleMsg<A::Session>>>,
     frag_lanes: &mut Vec<FragConn>,
-    resv: &mut VecDeque<Reserve>,
     snaps: &mut Vec<(u64, Sender<()>)>,
     last_ticket: &mut u64,
     mut spec: SpecSession,
@@ -1913,7 +1793,7 @@ fn speculate<A: LiveAdvisor>(
     // the window resolves exactly like an abort.
     let outcome: Option<bool> = 'window: loop {
         let mut finish: Option<bool> = None;
-        gather_ctrl(ctrl, lanes, frag_lanes, resv, snaps, &mut shutdown, Some(&mut finish));
+        gather_ctrl(ctrl, lanes, frag_lanes, snaps, &mut shutdown, Some(&mut finish));
         if finish.is_none() {
             sweep_lanes(lanes, &mut run);
         }
@@ -1922,60 +1802,26 @@ fn speculate<A: LiveAdvisor>(
             // watchdog timeout — the outcome normally arrives as a rung
             // control message, so an empty 25 ms is only expected for a
             // long-running coordinator, unless it died (its fragment lane
-            // or reservation channel disconnects without a buffered
-            // outcome) or it still speaks the reservation-channel
-            // protocol's in-band VoteFinish (tests, legacy).
+            // closes without a buffered outcome).
             let token = bell.prepare_park();
-            gather_ctrl(ctrl, lanes, frag_lanes, resv, snaps, &mut shutdown, Some(&mut finish));
+            gather_ctrl(ctrl, lanes, frag_lanes, snaps, &mut shutdown, Some(&mut finish));
             if finish.is_none() {
                 sweep_lanes(lanes, &mut run);
             }
             if run.is_empty() && finish.is_none() {
-                if bell.park_timeout(token, SPEC_WATCHDOG) {
-                    match &spec.chan {
-                        SpecChannel::Legacy { frags, results } => loop {
-                            match frags.try_recv() {
-                                Ok(FragCmd::VoteFinish { commit }) => break 'window Some(commit),
-                                Ok(FragCmd::Prepare { .. }) => {} // duplicate: already prepared
-                                Ok(FragCmd::LogBegin { .. }) => {} // begin already logged
-                                Ok(FragCmd::Exec { .. } | FragCmd::ExecBatch { .. }) => {
-                                    // The coordinator treats a batch that
-                                    // re-targets a released partition as a
-                                    // mispredict before shipping anything:
-                                    // protocol violation.
-                                    let _ = results.send(FragReply::Fatal(Error::Other(
-                                        "fragment shipped to an early-prepared partition".into(),
-                                    )));
-                                }
-                                Err(TryRecvError::Empty) => break,
-                                Err(TryRecvError::Disconnected) => break 'window None,
-                            }
-                        },
-                        SpecChannel::Lane(i) => {
-                            // Production coordinators deliver the outcome on
-                            // the control channel; the lane matters here only
-                            // as the liveness signal. Anything buffered in it
-                            // belongs to the *next* transaction of a client
-                            // that reacquired after an early release — never
-                            // popped here. A closed (drained, producer
-                            // dropped) lane means the coordinator died; one
-                            // final control drain closes the race where it
-                            // sent the outcome just before dropping.
-                            if frag_lanes[*i].frags.is_closed() {
-                                let mut last: Option<bool> = None;
-                                gather_ctrl(
-                                    ctrl,
-                                    lanes,
-                                    frag_lanes,
-                                    resv,
-                                    snaps,
-                                    &mut shutdown,
-                                    Some(&mut last),
-                                );
-                                break 'window last;
-                            }
-                        }
-                    }
+                // The lane matters here only as the liveness signal.
+                // Anything buffered in it belongs to the *next*
+                // transaction of a client that reacquired after an early
+                // release — never popped here. A closed (drained, producer
+                // dropped) lane means the coordinator died; one final
+                // control drain closes the race where it sent the outcome
+                // just before dropping.
+                if bell.park_timeout(token, SPEC_WATCHDOG)
+                    && frag_lanes[spec.lane].frags.is_closed()
+                {
+                    let mut last: Option<bool> = None;
+                    gather_ctrl(ctrl, lanes, frag_lanes, snaps, &mut shutdown, Some(&mut last));
+                    break 'window last;
                 }
                 continue 'window;
             }
@@ -2092,7 +1938,7 @@ fn speculate<A: LiveAdvisor>(
                 slot.put(reply);
             }
         }
-        spec_reply(frag_lanes, &spec.chan, FragReply::Finished);
+        spec_reply(frag_lanes, spec.lane, FragReply::Finished);
     } else {
         // Cascading rollback (LIFO) of every speculative commit, then the
         // fragment itself; deferred clients retry transparently. Durable
@@ -2115,26 +1961,19 @@ fn speculate<A: LiveAdvisor>(
             slot.put(SingleReply::Cascaded { req });
         }
         if outcome.is_some() {
-            spec_reply(frag_lanes, &spec.chan, reply);
+            spec_reply(frag_lanes, spec.lane, reply);
         }
     }
     shutdown
 }
 
 /// Delivers a speculation window's final participant acknowledgement over
-/// its coordinator channel; dropped when the coordinator is already gone
+/// its coordinator's lane; dropped when the coordinator is already gone
 /// (a closed lane's reply slot must stay reusable-empty).
-fn spec_reply(frag_lanes: &[FragConn], chan: &SpecChannel, reply: FragReply) {
-    match chan {
-        SpecChannel::Legacy { results, .. } => {
-            let _ = results.send(reply);
-        }
-        SpecChannel::Lane(i) => {
-            let conn = &frag_lanes[*i];
-            if !conn.frags.is_closed() {
-                conn.replies.put(reply);
-            }
-        }
+fn spec_reply(frag_lanes: &[FragConn], lane: usize, reply: FragReply) {
+    let conn = &frag_lanes[lane];
+    if !conn.frags.is_closed() {
+        conn.replies.put(reply);
     }
 }
 
@@ -2612,33 +2451,23 @@ fn run_distributed<A: LiveAdvisor>(
                 // sleep per writing participant *on the participant's own
                 // thread*, which stalled that partition's entire fast
                 // path for the duration.
-                let ticket = (fin.is_ok()
-                    && !wrote_parts.is_empty()
-                    && (env.durable.is_some() || !env.commit_flush.is_zero()))
-                .then(|| env.seq.enqueue());
+                let ticket = (fin.is_ok() && !wrote_parts.is_empty() && !env.device.is_free())
+                    .then(|| env.seq.enqueue());
                 record_remaining_hold(lock_holds, lock_set, released, t_locked);
                 drop(locks_held);
                 if let Some(t) = ticket {
                     let t_flush = Instant::now();
-                    match &env.durable {
-                        // Real device: every participant's begin and
-                        // decision records are on their logs (the Finished
-                        // acks above happen-after the appends), so one
-                        // sequenced `write+fsync` makes the whole
-                        // transaction durable. Ride the flusher's windowed
-                        // group commit rather than leading eagerly —
-                        // leading here would pin the fsync rate to the
-                        // distributed-commit rate and collapse throughput
-                        // to the device.
-                        Some(d) => {
-                            env.seq.wait_covered(
-                                t,
-                                &FileDevice(Arc::clone(&d.logs)),
-                                d.group_window,
-                            );
-                        }
-                        None => env.seq.wait_durable(t, env.commit_flush),
-                    }
+                    // In durable mode every participant's begin and
+                    // decision records are on their logs (the Finished
+                    // acks above happen-after the appends), so one
+                    // sequenced `write+fsync` makes the whole transaction
+                    // durable. Ride the flusher's windowed group commit
+                    // rather than leading eagerly — leading here would pin
+                    // the fsync rate to the distributed-commit rate and
+                    // collapse throughput to the device. The simulated
+                    // device has no flusher to ride: lead at once.
+                    let patience = env.durable.as_ref().map_or(Duration::ZERO, |d| d.group_window);
+                    env.seq.wait_durable(t, &*env.device, patience);
                     let fw = us_since(t_flush);
                     acc.coord_us += fw;
                     acc.flush_us += fw;
@@ -3241,8 +3070,13 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             gates.push(WorkerGate { ctrl: tx, bell: Doorbell::new() });
             worker_rx.push(rx);
         }
+        let commit_flush = Duration::from_micros(cfg.commit_flush_us);
+        let device: Arc<dyn FlushDevice> = match &durable {
+            Some(d) => Arc::new(FileDevice(Arc::clone(&d.logs))),
+            None => Arc::new(SimulatedDevice(commit_flush)),
+        };
         let shared = Arc::new(Shared {
-            commit_flush: Duration::from_micros(cfg.commit_flush_us),
+            commit_flush,
             msg_delay: Duration::from_micros(cfg.msg_delay_us),
             registry,
             catalog,
@@ -3252,6 +3086,7 @@ impl<A: LiveAdvisor + 'static> LiveRuntime<A> {
             workers: gates,
             locks: LockManager::new(num_partitions),
             seq: FlushSequencer::new(),
+            device,
             metrics: Mutex::new(RunMetrics::default()),
             fb_tx,
             next_client: AtomicU64::new(0),
@@ -3692,70 +3527,94 @@ mod tests {
         rows
     }
 
-    /// Hand-drives the worker protocol through one speculation window:
-    /// reserve → fragment → early prepare → speculative single → 2PC
-    /// outcome. Deterministic: the worker drains ctrl then sweeps lanes
-    /// each round; with `expect_deferred` the deferral assertion doubles
-    /// as the processed-before-outcome sync (non-conflicting replies
-    /// instead arrive before the outcome is even sent). Channels and the
-    /// lane producer live inside the scope so a failed assertion
-    /// disconnects the worker rather than deadlocking the join.
-    /// Returns (reply, post snapshot, pre snapshot).
-    #[allow(clippy::type_complexity)]
-    fn drive_speculation(
-        commit: bool,
-        spec_args: Vec<Value>,
-        expect_deferred: bool,
-    ) -> (SingleReply<()>, Vec<(Vec<Value>, Row)>, Vec<(Vec<Value>, Row)>) {
-        let db = kv_database(2, 8);
+    /// A one-gate `Shared` for hand-driven protocol tests: the test drives
+    /// worker 0's control channel, lanes, and fragment lanes directly; the
+    /// lock manager and feedback plumbing stay unused.
+    fn test_env(
+        num_partitions: u32,
+        commit_flush: Duration,
+    ) -> (Shared<AssumeSinglePartition>, Receiver<CtrlMsg<()>>) {
         let reg = kv_registry();
-        let catalog = reg.catalog();
         let (ctrl_tx, ctrl_rx) = channel::<CtrlMsg<()>>();
-        // A single-gate Shared: the test drives worker 0's control channel
-        // and one hand-made SPSC lane directly; the lock manager and
-        // feedback plumbing stay unused.
         let env = Shared {
-            catalog,
+            catalog: reg.catalog(),
             registry: reg,
             advisor: AssumeSinglePartition::new(),
             cfg: LiveConfig::default(),
-            num_partitions: 2,
-            commit_flush: Duration::ZERO,
+            num_partitions,
+            commit_flush,
             msg_delay: Duration::ZERO,
             workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
-            locks: LockManager::new(2),
+            locks: LockManager::new(num_partitions),
             seq: FlushSequencer::new(),
+            device: Arc::new(SimulatedDevice(commit_flush)),
             metrics: Mutex::new(RunMetrics::default()),
             fb_tx: None,
             next_client: AtomicU64::new(0),
             started: Instant::now(),
             durable: None,
         };
-        let mut shards = db.into_shards();
+        (env, ctrl_rx)
+    }
+
+    /// Waits for worker 0's answer on the test coordinator's fragment lane
+    /// (registered by its first [`push_frag`]).
+    fn frag_reply(ports: &[Option<FragPort>]) -> FragReply {
+        let port = ports[0].as_ref().expect("fragment lane registered");
+        port.replies.take_within(Duration::from_secs(30)).expect("fragment reply")
+    }
+
+    /// The per-query result rows of an [`FragReply::Batch`].
+    fn batch_rows(reply: FragReply) -> Vec<Vec<Row>> {
+        let FragReply::Batch(items) = reply else { panic!("expected a Batch reply") };
+        items
+            .into_iter()
+            .map(|item| match item {
+                BatchItem::Rows(rows) => rows,
+                BatchItem::Constraint(msg) => panic!("constraint: {msg}"),
+            })
+            .collect()
+    }
+
+    /// Hand-drives the worker protocol through one speculation window on
+    /// a fragment lane: fragment → early prepare → speculative single →
+    /// 2PC outcome. `Some(commit)` delivers the outcome on the control
+    /// channel as a coordinator does; `None` kills the coordinator with
+    /// the window open (its lane producer drops, and the closed-lane
+    /// watchdog resolves the window as an abort, with no reply).
+    /// Deterministic: the worker drains ctrl then sweeps lanes each round;
+    /// with `expect_deferred` the deferral assertion doubles as the
+    /// processed-before-outcome sync (non-conflicting replies instead
+    /// arrive before the outcome is even sent). The lane producers live
+    /// inside the scope so a failed assertion disconnects the worker
+    /// rather than deadlocking the join. Returns (reply, post snapshot,
+    /// pre snapshot).
+    #[allow(clippy::type_complexity)]
+    fn drive_speculation(
+        outcome: Option<bool>,
+        spec_args: Vec<Value>,
+        expect_deferred: bool,
+    ) -> (SingleReply<()>, Vec<(Vec<Value>, Row)>, Vec<(Vec<Value>, Row)>) {
+        let (env, ctrl_rx) = test_env(2, Duration::ZERO);
+        let mut shards = kv_database(2, 8).into_shards();
         shards.truncate(1); // partition 0's worker only
         let shard = shards.pop().unwrap();
         let before = table_snapshot(&shard, 0);
         let (shard, reply) = std::thread::scope(|s| {
             let env = &env;
             let h = s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
-            // Reserve partition 0 for a "distributed" transaction and run
-            // one write fragment there: bump id 0 by 10.
-            let (ftx, frx) = channel();
-            let (rtx, rrx) = channel();
-            assert!(
-                env.workers[0].send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx }))
-            );
-            ftx.send(FragCmd::Exec {
-                proc: 0,
-                query: 1,
-                params: vec![Value::Int(0), Value::Int(10)],
-            })
-            .unwrap();
-            assert!(matches!(rrx.recv().unwrap(), FragReply::Rows(r) if r.len() == 1));
+            // Run one write fragment of a "distributed" transaction on
+            // partition 0: bump id 0 by 10.
+            let mut ports: Vec<Option<FragPort>> = vec![None];
+            let bump = vec![(1, vec![Value::Int(0), Value::Int(10)])];
+            push_frag(&mut ports, &env.workers, 0, FragCmd::ExecBatch { proc: 0, queries: bump })
+                .unwrap();
+            let rows = batch_rows(frag_reply(&ports));
+            assert!(rows.len() == 1 && rows[0].len() == 1, "one bumped row");
             // Early prepare: unacknowledged; the worker is parked on the
-            // reservation channel, so the window opens before it observes
-            // any lane or ctrl message sent afterwards.
-            ftx.send(FragCmd::Prepare { speculate: true }).unwrap();
+            // fragment lane, so the window opens before it observes any
+            // lane or ctrl message sent afterwards.
+            push_frag(&mut ports, &env.workers, 0, FragCmd::Prepare { speculate: true }).unwrap();
             // A single-partition transaction arrives mid-window on a fresh
             // lane. Its plan asks for OP3 (disable_undo) — speculation must
             // override it.
@@ -3779,15 +3638,12 @@ mod tests {
                 })
                 .is_ok());
             env.workers[0].bell.ring();
-            // Outcome delivery: commits take the ctrl route the coordinator
-            // uses; aborts take the reservation-channel route so the
-            // disconnect watchdog's legacy arm stays covered.
-            let send_outcome = || {
-                if commit {
+            let mut send_outcome = || match outcome {
+                Some(commit) => {
                     assert!(env.workers[0].send_ctrl(CtrlMsg::SpecFinish { commit }));
-                } else {
-                    ftx.send(FragCmd::VoteFinish { commit }).unwrap();
+                    assert!(matches!(frag_reply(&ports), FragReply::Finished));
                 }
+                None => ports[0] = None,
             };
             let reply = if expect_deferred {
                 // The acknowledgement must wait for the outcome.
@@ -3796,13 +3652,11 @@ mod tests {
                     "conflicting speculative ack leaked before the 2PC outcome"
                 );
                 send_outcome();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
                 slot.take_within(Duration::from_secs(30)).expect("deferred ack")
             } else {
                 // Non-conflicting: acknowledged before any outcome exists.
                 let reply = slot.take_within(Duration::from_secs(30)).expect("immediate ack");
                 send_outcome();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
                 reply
             };
             assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
@@ -3817,7 +3671,7 @@ mod tests {
         // the fragment wrote, so it executes speculatively inside the
         // window, commits, and its ack is deferred.
         let (reply, after, before) =
-            drive_speculation(true, vec![Value::Array(vec![Value::Int(0)])], true);
+            drive_speculation(Some(true), vec![Value::Array(vec![Value::Int(0)])], true);
         match reply {
             SingleReply::Done { committed, speculative, undo_disabled_ever, .. } => {
                 assert!(committed);
@@ -3835,10 +3689,23 @@ mod tests {
     #[test]
     fn coordinator_abort_cascades_and_restores_shard_state() {
         let (reply, after, before) =
-            drive_speculation(false, vec![Value::Array(vec![Value::Int(0)])], true);
+            drive_speculation(Some(false), vec![Value::Array(vec![Value::Int(0)])], true);
         assert!(
             matches!(reply, SingleReply::Cascaded { .. }),
             "cascaded speculative txn must be told to retry"
+        );
+        assert_eq!(after, before, "cascading rollback must restore the shard byte-for-byte");
+    }
+
+    #[test]
+    fn coordinator_death_mid_window_cascades_and_restores_shard_state() {
+        // The coordinator's lane closes with the window open and no
+        // outcome sent: the watchdog must resolve the window as an abort.
+        let (reply, after, before) =
+            drive_speculation(None, vec![Value::Array(vec![Value::Int(0)])], true);
+        assert!(
+            matches!(reply, SingleReply::Cascaded { .. }),
+            "a dead coordinator's window must cascade its speculative txn"
         );
         assert_eq!(after, before, "cascading rollback must restore the shard byte-for-byte");
     }
@@ -3849,7 +3716,7 @@ mod tests {
         // only) mispredicts before touching storage — nothing contingent
         // was read, so the reply is delivered without waiting for 2PC.
         let (reply, after, before) =
-            drive_speculation(true, vec![Value::Array(vec![Value::Int(1)])], false);
+            drive_speculation(Some(true), vec![Value::Array(vec![Value::Int(1)])], false);
         match reply {
             SingleReply::Mispredict { observed, .. } => {
                 assert_eq!(observed, PartitionSet::single(1));
@@ -3867,7 +3734,8 @@ mod tests {
         // A MultiGet over no ids reads and writes nothing: a degenerate
         // read-only transaction, acknowledged mid-window (paper §2 OP4's
         // non-conflicting case), surviving even an eventual cascade.
-        let (reply, after, before) = drive_speculation(false, vec![Value::Array(vec![])], false);
+        let (reply, after, before) =
+            drive_speculation(Some(false), vec![Value::Array(vec![])], false);
         match reply {
             SingleReply::Done { committed, speculative, .. } => {
                 assert!(committed);
@@ -3932,39 +3800,20 @@ mod tests {
     }
 
     /// Runs one worker over the same six-message sequence — three bump
-    /// singles, a reservation whose fragment reads the bumped row, then two
-    /// more singles — and returns (reply shapes in send order, the row
-    /// value the fragment observed, final table snapshot). With `batched`
-    /// the lane, its three singles, and the reservation (with its whole
-    /// fragment script) are buffered before the worker thread starts, so
-    /// the sequence is served out of backlog drains: one group flush and
-    /// group ack ahead of the reservation. Without it each call waits for
-    /// its reply before the next is sent — the one-message-at-a-time
-    /// schedule batching must be indistinguishable from.
+    /// singles, a distributed transaction whose fragment reads the bumped
+    /// row, then two more singles — and returns (reply shapes in send
+    /// order, the row value the fragment observed, final table snapshot).
+    /// With `batched` the lane, its three singles, and the fragment lane
+    /// with the transaction's opening batch are buffered before the worker
+    /// thread starts, so the sequence is served out of backlog drains: one
+    /// group flush and group ack ahead of the fragment. Without it each
+    /// call waits for its reply before the next is sent — the
+    /// one-message-at-a-time schedule batching must be indistinguishable
+    /// from.
     #[allow(clippy::type_complexity)]
     fn drive_batched_drain(batched: bool) -> (Vec<(bool, bool)>, i64, Vec<(Vec<Value>, Row)>) {
-        let reg = kv_registry();
-        let catalog = reg.catalog();
-        let (ctrl_tx, ctrl_rx) = channel::<CtrlMsg<()>>();
-        let env = Shared {
-            catalog,
-            registry: reg,
-            advisor: AssumeSinglePartition::new(),
-            cfg: LiveConfig::default(),
-            num_partitions: 1,
-            commit_flush: Duration::from_micros(100),
-            msg_delay: Duration::ZERO,
-            workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
-            locks: LockManager::new(1),
-            seq: FlushSequencer::new(),
-            metrics: Mutex::new(RunMetrics::default()),
-            fb_tx: None,
-            next_client: AtomicU64::new(0),
-            started: Instant::now(),
-            durable: None,
-        };
-        let mut shards = kv_database(1, 8).into_shards();
-        let shard = shards.pop().unwrap();
+        let (env, ctrl_rx) = test_env(1, Duration::from_micros(100));
+        let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let single_plan = TxnPlan {
             base_partition: 0,
             lock_set: PartitionSet::single(0),
@@ -3979,14 +3828,12 @@ mod tests {
             reply: Arc::clone(reply),
             enqueued: Instant::now(),
         };
-        let mut observed = 0i64;
+        let read = || FragCmd::ExecBatch { proc: 0, queries: vec![(0, vec![Value::Int(0)])] };
         let mut replies = Vec::new();
-        let shard = std::thread::scope(|s| {
+        let mut ports: Vec<Option<FragPort>> = vec![None];
+        let (shard, observed) = std::thread::scope(|s| {
             let env = &env;
             let (mut ltx, lrx) = ring::spsc::<SingleMsg<()>>(LANE_CAPACITY);
-            let (ftx, frx) = channel();
-            let (rtx, rrx) = channel();
-            let exec = FragCmd::Exec { proc: 0, query: 0, params: vec![Value::Int(0)] };
             let done_shape = |reply| match reply {
                 SingleReply::Done { committed, speculative, .. } => (committed, speculative),
                 _ => panic!("expected Done"),
@@ -3994,12 +3841,22 @@ mod tests {
             let take = |slot: &Arc<SingleSlot<()>>| {
                 done_shape(slot.take_within(Duration::from_secs(30)).expect("single ack"))
             };
-            if batched {
+            let serve_single = |ltx: &mut ring::Producer<SingleMsg<()>>| {
+                let slot = Arc::new(ReplySlot::new());
+                assert!(ltx.push(mk_single(&slot)).is_ok());
+                env.workers[0].bell.ring();
+                take(&slot)
+            };
+            let commit = |ports: &mut [Option<FragPort>]| {
+                push_frag(ports, &env.workers, 0, FragCmd::VoteFinish { commit: true }).unwrap();
+                assert!(matches!(frag_reply(ports), FragReply::Finished));
+            };
+            let (h, observed) = if batched {
                 // Everything below is buffered before the worker starts:
-                // its first ctrl drain registers the lane and parks the
-                // reservation, and the lane sweep picks the three singles
-                // up as one group — executed, flushed, and acknowledged
-                // ahead of the reservation.
+                // its first ctrl drain registers both lanes, and the lane
+                // sweep picks the three singles up as one group —
+                // executed, flushed, and acknowledged ahead of the
+                // fragment.
                 assert!(env.workers[0].send_ctrl(CtrlMsg::Lane(lrx)));
                 let mut slots = Vec::new();
                 for _ in 0..3 {
@@ -4007,59 +3864,35 @@ mod tests {
                     assert!(ltx.push(mk_single(&slot)).is_ok());
                     slots.push(slot);
                 }
-                assert!(env.workers[0]
-                    .send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx })));
-                ftx.send(exec).unwrap();
-                ftx.send(FragCmd::VoteFinish { commit: true }).unwrap();
+                push_frag(&mut ports, &env.workers, 0, read()).unwrap();
                 let h =
                     s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
-                match rrx.recv().unwrap() {
-                    FragReply::Rows(rows) => observed = rows[0][2].expect_int(),
-                    _ => panic!("expected rows"),
-                }
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
+                let observed = batch_rows(frag_reply(&ports))[0][0][2].expect_int();
+                commit(&mut ports);
                 for slot in &slots {
                     replies.push(take(slot));
                 }
-                // The trailing pair goes out only once the reservation has
-                // resolved: under lane dispatch an earlier push could race
-                // into the first group, which the old global FIFO forbade.
-                for _ in 0..2 {
-                    let slot = Arc::new(ReplySlot::new());
-                    assert!(ltx.push(mk_single(&slot)).is_ok());
-                    env.workers[0].bell.ring();
-                    replies.push(take(&slot));
-                }
-                assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
-                h.join().unwrap()
+                (h, observed)
             } else {
                 let h =
                     s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
                 assert!(env.workers[0].send_ctrl(CtrlMsg::Lane(lrx)));
-                let mut serve_single = || {
-                    let slot = Arc::new(ReplySlot::new());
-                    assert!(ltx.push(mk_single(&slot)).is_ok());
-                    env.workers[0].bell.ring();
-                    take(&slot)
-                };
                 for _ in 0..3 {
-                    replies.push(serve_single());
+                    replies.push(serve_single(&mut ltx));
                 }
-                assert!(env.workers[0]
-                    .send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx })));
-                ftx.send(exec).unwrap();
-                match rrx.recv().unwrap() {
-                    FragReply::Rows(rows) => observed = rows[0][2].expect_int(),
-                    _ => panic!("expected rows"),
-                }
-                ftx.send(FragCmd::VoteFinish { commit: true }).unwrap();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
-                for _ in 0..2 {
-                    replies.push(serve_single());
-                }
-                assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
-                h.join().unwrap()
+                push_frag(&mut ports, &env.workers, 0, read()).unwrap();
+                let observed = batch_rows(frag_reply(&ports))[0][0][2].expect_int();
+                commit(&mut ports);
+                (h, observed)
+            };
+            // The trailing pair goes out only once the distributed
+            // transaction has resolved: under lane dispatch an earlier
+            // push could race into the first group.
+            for _ in 0..2 {
+                replies.push(serve_single(&mut ltx));
             }
+            assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
+            (h.join().unwrap(), observed)
         });
         (replies, observed, table_snapshot(&shard, 0))
     }
@@ -4069,9 +3902,9 @@ mod tests {
         let (batched, b_obs, b_state) = drive_batched_drain(true);
         let (serial, s_obs, s_state) = drive_batched_drain(false);
         assert_eq!(batched, serial, "per-client replies must match in order and content");
-        // The reservation closed the group: all three prior bumps were
-        // committed, flushed, and acknowledged before the fragment ran.
-        assert_eq!(b_obs, 3, "reservation must observe every earlier queued commit");
+        // The fragment closed the group: all three prior bumps were
+        // committed, flushed, and acknowledged before it ran.
+        assert_eq!(b_obs, 3, "fragment must observe every earlier queued commit");
         assert_eq!(s_obs, 3);
         assert_eq!(b_state, s_state, "final shard state must be byte-identical");
         let id0 = b_state.iter().find(|(k, _)| k[0] == Value::Int(0)).unwrap();
@@ -4081,36 +3914,14 @@ mod tests {
     /// Runs one worker over the same four-query fragment script — bump id
     /// 0 by 7, read it back, bump a missing id (zero rows), read id 3 —
     /// then commits via `VoteFinish`. With `batched` the script ships as
-    /// one [`FragCmd::ExecBatch`] on a registered fragment lane (the
-    /// production protocol); without it each query goes out as a legacy
-    /// [`FragCmd::Exec`] over a per-transaction [`Reserve`] pair. Returns
-    /// (per-query result rows in script order, final table snapshot) —
-    /// batching must be indistinguishable from the one-command-at-a-time
-    /// schedule.
+    /// one [`FragCmd::ExecBatch`]; without it each query ships as its own
+    /// single-query batch, one round trip each. Returns (per-query result
+    /// rows in script order, final table snapshot) — batching must be
+    /// indistinguishable from the one-command-at-a-time schedule.
     #[allow(clippy::type_complexity)]
     fn drive_fragment_script(batched: bool) -> (Vec<Vec<Row>>, Vec<(Vec<Value>, Row)>) {
-        let reg = kv_registry();
-        let catalog = reg.catalog();
-        let (ctrl_tx, ctrl_rx) = channel::<CtrlMsg<()>>();
-        let env = Shared {
-            catalog,
-            registry: reg,
-            advisor: AssumeSinglePartition::new(),
-            cfg: LiveConfig::default(),
-            num_partitions: 1,
-            commit_flush: Duration::ZERO,
-            msg_delay: Duration::ZERO,
-            workers: vec![WorkerGate { ctrl: ctrl_tx, bell: Doorbell::new() }],
-            locks: LockManager::new(1),
-            seq: FlushSequencer::new(),
-            metrics: Mutex::new(RunMetrics::default()),
-            fb_tx: None,
-            next_client: AtomicU64::new(0),
-            started: Instant::now(),
-            durable: None,
-        };
-        let mut shards = kv_database(1, 8).into_shards();
-        let shard = shards.pop().unwrap();
+        let (env, ctrl_rx) = test_env(1, Duration::ZERO);
+        let shard = kv_database(1, 8).into_shards().pop().unwrap();
         let script: Vec<(QueryId, Vec<Value>)> = vec![
             (1, vec![Value::Int(0), Value::Int(7)]),
             (0, vec![Value::Int(0)]),
@@ -4121,47 +3932,20 @@ mod tests {
         let shard = std::thread::scope(|s| {
             let env = &env;
             let h = s.spawn(move || worker_loop::<AssumeSinglePartition>(shard, &ctrl_rx, env, 0));
+            let mut ports: Vec<Option<FragPort>> = vec![None];
+            let mut ship = |cmd: FragCmd| {
+                push_frag(&mut ports, &env.workers, 0, cmd).unwrap();
+                frag_reply(&ports)
+            };
             if batched {
-                let (mut ftx, frx) = ring::spsc::<FragCmd>(LANE_CAPACITY);
-                let slot = Arc::new(ReplySlot::<FragReply>::new());
-                assert!(env.workers[0].send_ctrl(CtrlMsg::FragLane(FragConn {
-                    frags: frx,
-                    replies: Arc::clone(&slot),
-                })));
-                assert!(ftx.push(FragCmd::ExecBatch { proc: 0, queries: script }).is_ok());
-                env.workers[0].bell.ring();
-                match slot.take_within(Duration::from_secs(30)).expect("batch reply") {
-                    FragReply::Batch(items) => {
-                        for item in items {
-                            match item {
-                                BatchItem::Rows(rows) => rows_out.push(rows),
-                                BatchItem::Constraint(msg) => panic!("constraint: {msg}"),
-                            }
-                        }
-                    }
-                    _ => panic!("expected a Batch reply"),
-                }
-                assert!(ftx.push(FragCmd::VoteFinish { commit: true }).is_ok());
-                env.workers[0].bell.ring();
-                assert!(matches!(
-                    slot.take_within(Duration::from_secs(30)).expect("finish ack"),
-                    FragReply::Finished
-                ));
+                rows_out = batch_rows(ship(FragCmd::ExecBatch { proc: 0, queries: script }));
             } else {
-                let (ftx, frx) = channel();
-                let (rtx, rrx) = channel();
-                assert!(env.workers[0]
-                    .send_ctrl(CtrlMsg::Reserve(Reserve { frags: frx, results: rtx })));
-                for (query, params) in script {
-                    ftx.send(FragCmd::Exec { proc: 0, query, params }).unwrap();
-                    match rrx.recv().unwrap() {
-                        FragReply::Rows(rows) => rows_out.push(rows),
-                        _ => panic!("expected rows"),
-                    }
+                for q in script {
+                    rows_out
+                        .extend(batch_rows(ship(FragCmd::ExecBatch { proc: 0, queries: vec![q] })));
                 }
-                ftx.send(FragCmd::VoteFinish { commit: true }).unwrap();
-                assert!(matches!(rrx.recv().unwrap(), FragReply::Finished));
             }
+            assert!(matches!(ship(FragCmd::VoteFinish { commit: true }), FragReply::Finished));
             assert!(env.workers[0].send_ctrl(CtrlMsg::Shutdown));
             h.join().unwrap()
         });

@@ -2,11 +2,19 @@
 //! drives it as a subprocess).
 //!
 //! Runs TATP against a [`engine::LiveRuntime`] with real command logging
-//! into the given directory, optionally takes a consistent snapshot, then
-//! dies via [`std::process::abort`] — no shutdown, no final flush, exactly
-//! the on-disk state a SIGKILL would leave. Just before dying it prints
-//! one machine-readable line with the acknowledged commit counts, which
-//! the recovery test compares against an uninterrupted same-seed run.
+//! into `<dir>/live`, optionally takes a consistent snapshot, and — once
+//! every client call has been acknowledged — copies the log directory to
+//! `<dir>/image` while the runtime is still fully live. That copy is the
+//! on-disk state a SIGKILL would leave at that instant: every acknowledged
+//! writer is covered by a completed `write+fsync` (acks are released only
+//! after the covering flush), and the log's user-space buffer is not in
+//! the files. The harness then shuts down, writes its own final tables to
+//! `<dir>/tables.txt` (see [`render_tables`]), prints one machine-readable
+//! line with the acknowledged commit counts, and dies via
+//! [`std::process::abort`]. The recovery test recovers from the image and
+//! compares against those tables — the state *this* run's interleaving
+//! produced — and compares the counts against an uninterrupted same-seed
+//! run.
 //!
 //! Usage: `crash_harness <dir> <sp|dist> <log|snap|snaplog> <seed>`
 //!
@@ -23,8 +31,10 @@
 
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition};
 use engine::{DurabilityConfig, LiveAdvisor, LiveConfig, LiveRuntime};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Barrier;
+use storage::Database;
 use workloads::Bench;
 
 const PARTS: u32 = 2;
@@ -32,11 +42,37 @@ const CLIENTS: u64 = 4;
 const PHASE1: u64 = 150;
 const PHASE2: u64 = 100;
 
+/// Every table's rows, sorted and merged across partitions, one row per
+/// line — the byte-identical-state rendering `tests/recovery.rs` compares
+/// (it keeps an identical copy; keep them in sync).
+fn render_tables(db: &Database) -> String {
+    let mut out = String::new();
+    for t in 0..db.schemas().len() {
+        let mut rows: Vec<_> = (0..PARTS).flat_map(|p| db.table(p, t).sorted_rows()).collect();
+        rows.sort();
+        for row in rows {
+            writeln!(out, "{t} {row:?}").expect("write to String");
+        }
+    }
+    out
+}
+
+/// Copies every file of the flat log directory `from` into `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create image directory");
+    for entry in std::fs::read_dir(from).expect("read log directory") {
+        let path = entry.expect("log directory entry").path();
+        let name = path.file_name().expect("file name");
+        std::fs::copy(&path, to.join(name)).expect("copy log file");
+    }
+}
+
 fn drive<A: LiveAdvisor + 'static>(advisor: A, dir: &Path, mode: &str, seed: u64) -> ! {
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
+    let live = dir.join("live");
     let cfg =
-        LiveConfig { seed, durability: Some(DurabilityConfig::new(dir)), ..Default::default() };
+        LiveConfig { seed, durability: Some(DurabilityConfig::new(&live)), ..Default::default() };
     let rt = LiveRuntime::start(db, reg, advisor, cfg);
     let phase2 = if mode == "snaplog" { PHASE2 } else { 0 };
     // Clients pause at the barrier between phases so the snapshot cuts at
@@ -69,10 +105,15 @@ fn drive<A: LiveAdvisor + 'static>(advisor: A, dir: &Path, mode: &str, seed: u64
         barrier.wait();
     });
     // Every call above was acknowledged, so every committed writer is
-    // durably logged (acks are released only after the covering flush).
-    let m = rt.metrics();
+    // durably logged (acks are released only after the covering flush):
+    // the files as they stand are the crash image. Whatever is still
+    // buffered, or lands from a flush racing the copy, was never
+    // acknowledged (an aborted 2PC's records) or is a torn tail — both of
+    // which recovery discards.
+    copy_dir(&live, &dir.join("image"));
+    let (m, db) = rt.shutdown();
+    std::fs::write(dir.join("tables.txt"), render_tables(&db)).expect("write final tables");
     println!("CRASH committed={} user_aborts={}", m.committed, m.user_aborts);
-    // SIGKILL-equivalent: no destructors, no shutdown, no buffered flush.
     std::process::abort();
 }
 

@@ -1,26 +1,30 @@
 //! Kill-and-recover matrix for the durability subsystem (DESIGN.md §7).
 //!
 //! Each cell runs the `crash_harness` binary as a subprocess: TATP with
-//! real command logging (and optionally a consistent snapshot), killed via
-//! `std::process::abort()` — no shutdown, no final flush. The test then
-//! recovers in-process with [`LiveRuntime::recover`] and pins the result
-//! against an *uninterrupted* same-seed run:
+//! real command logging (and optionally a consistent snapshot). Once every
+//! call is acknowledged the harness copies its live log directory — the
+//! on-disk image a SIGKILL would leave — then shuts down, writes its own
+//! final tables, and dies via `std::process::abort()`. The test recovers
+//! the image in-process with [`LiveRuntime::recover`] and pins:
 //!
-//! * the harness's acknowledged commit / user-abort counts equal the
-//!   uninterrupted run's (TATP outcomes are interleaving-independent —
-//!   see `tests/live_runtime.rs`), and
-//! * the recovered database's tables are byte-identical to the
-//!   uninterrupted run's, row for row.
+//! * the harness's acknowledged commit / user-abort counts equal an
+//!   *uninterrupted* same-seed run's (TATP outcomes are
+//!   interleaving-independent — see `tests/live_runtime.rs`), and
+//! * the recovered database's tables are byte-identical, row for row, to
+//!   the harness's own final tables. Not to the uninterrupted run's: last
+//!   writer values depend on how the 4 clients interleave, which differs
+//!   between two runs of the same seed.
 //!
 //! Matrix: {snapshot-only, log-only, snapshot+log} × {single-partition
 //! fast path, forced-distributed}.
 
 use engine::baselines::{AssumeDistributed, AssumeSinglePartition};
 use engine::{DurabilityConfig, LiveAdvisor, LiveConfig, LiveRuntime, RunMetrics};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Barrier;
-use storage::{Database, Row};
+use storage::Database;
 use workloads::Bench;
 
 // Mirrors src/bin/crash_harness.rs; keep in sync.
@@ -37,8 +41,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// The uninterrupted twin of the harness run: same seed, same client
-/// streams, same request counts, no durability, clean shutdown.
-fn baseline<A: LiveAdvisor + 'static>(advisor: A, with_phase2: bool) -> (RunMetrics, Database) {
+/// streams, same request counts, no durability, clean shutdown. Only its
+/// outcome counts are compared.
+fn baseline<A: LiveAdvisor + 'static>(advisor: A, with_phase2: bool) -> RunMetrics {
     let db = Bench::Tatp.database(PARTS);
     let reg = Bench::Tatp.registry();
     let cfg = LiveConfig { seed: SEED, ..Default::default() };
@@ -63,20 +68,22 @@ fn baseline<A: LiveAdvisor + 'static>(advisor: A, with_phase2: bool) -> (RunMetr
             });
         }
     });
-    rt.shutdown()
+    rt.shutdown().0
 }
 
-/// Sorted full contents of every table, merged across partitions — the
-/// byte-identical-state comparator.
-fn table_state(db: &Database) -> Vec<Vec<Row>> {
-    (0..db.schemas().len())
-        .map(|t| {
-            let mut rows: Vec<Row> =
-                (0..PARTS).flat_map(|p| db.table(p, t).sorted_rows()).collect();
-            rows.sort();
-            rows
-        })
-        .collect()
+/// Every table's rows, sorted and merged across partitions, one row per
+/// line — the byte-identical-state rendering; mirrors `render_tables` in
+/// src/bin/crash_harness.rs, keep in sync.
+fn render_tables(db: &Database) -> String {
+    let mut out = String::new();
+    for t in 0..db.schemas().len() {
+        let mut rows: Vec<_> = (0..PARTS).flat_map(|p| db.table(p, t).sorted_rows()).collect();
+        rows.sort();
+        for row in rows {
+            writeln!(out, "{t} {row:?}").expect("write to String");
+        }
+    }
+    out
 }
 
 fn parse_counts(stdout: &str) -> (u64, u64) {
@@ -97,7 +104,7 @@ fn parse_counts(stdout: &str) -> (u64, u64) {
 fn kill_and_recover<A, B>(make_advisor: impl Fn() -> A, tag: &str, mode: &str, baseline_run: B)
 where
     A: LiveAdvisor + 'static,
-    B: FnOnce() -> (RunMetrics, Database),
+    B: FnOnce() -> RunMetrics,
 {
     let dir = tmpdir(tag);
     let out = Command::new(env!("CARGO_BIN_EXE_crash_harness"))
@@ -109,7 +116,7 @@ where
     assert!(!out.status.success(), "the harness must die by abort, not exit cleanly");
     let (committed, user_aborts) = parse_counts(&String::from_utf8_lossy(&out.stdout));
 
-    let (base_metrics, base_db) = baseline_run();
+    let base_metrics = baseline_run();
     assert_eq!(
         (committed, user_aborts),
         (base_metrics.committed, base_metrics.user_aborts),
@@ -118,7 +125,7 @@ where
 
     let cfg = LiveConfig {
         seed: SEED,
-        durability: Some(DurabilityConfig::new(&dir)),
+        durability: Some(DurabilityConfig::new(dir.join("image"))),
         ..Default::default()
     };
     let (rt, report) = LiveRuntime::recover(
@@ -141,10 +148,15 @@ where
         assert!(report.snapshot_gen.is_some());
         assert!(report.replayed > 0, "phase-2 writers replay on top of the snapshot");
     }
-    assert_eq!(
-        table_state(&base_db),
-        table_state(&recovered_db),
-        "recovered tables must be byte-identical to the uninterrupted run ({tag}/{mode})"
+    let harness_tables =
+        std::fs::read_to_string(dir.join("tables.txt")).expect("harness wrote its final tables");
+    let recovered_tables = render_tables(&recovered_db);
+    assert!(!harness_tables.is_empty());
+    let first_diff = harness_tables.lines().zip(recovered_tables.lines()).find(|(a, b)| a != b);
+    assert!(
+        harness_tables == recovered_tables,
+        "recovered tables must be byte-identical to the crashed run's own ({tag}/{mode}); \
+         first differing row (harness, recovered): {first_diff:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
